@@ -41,7 +41,7 @@ func main() {
 		workload = flag.String("workload", "mot", "workload for exp 2/3/server: mot, airca, tpch")
 		mix      = flag.String("mix", "point", "query mix for -exp server: point, nonkey, range, mixed")
 		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
-		workers  = flag.Int("workers", 8, "SQL-layer workers")
+		workers  = flag.Int("workers", 8, "SQL-layer workers: partitions per intermediate result, not a goroutine count (see zidian.Options.Workers)")
 		nodes    = flag.Int("nodes", 12, "storage nodes")
 		seed     = flag.Int64("seed", 7, "generator seed")
 		clients  = flag.Int("clients", 64, "concurrent connections for -exp server")

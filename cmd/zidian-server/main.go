@@ -38,7 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 7, "generator seed")
 		nodes    = flag.Int("nodes", 4, "storage nodes")
 		opDelay  = flag.Duration("op-delay", 0, "emulated per-node service time per storage round trip (0 disables): each node serves at most 1/delay rounds per second, so -nodes becomes a real capacity axis")
-		workers  = flag.Int("workers", 4, "per-query SQL-layer workers")
+		workers  = flag.Int("workers", 4, "per-query SQL-layer workers: partitions per intermediate result, not a goroutine count (see zidian.Options.Workers)")
 		inflight = flag.Int("max-inflight", 8, "statements executing concurrently")
 		queue    = flag.Int("queue", 256, "admission queue depth")
 		queueTO  = flag.Duration("queue-timeout", time.Second, "admission queue timeout")

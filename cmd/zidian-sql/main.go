@@ -33,7 +33,7 @@ func main() {
 		name    = flag.String("workload", "tpch", "workload: tpch, mot, airca")
 		scale   = flag.Float64("scale", 0.25, "dataset scale")
 		seed    = flag.Int64("seed", 7, "generator seed")
-		workers = flag.Int("workers", 4, "SQL-layer workers")
+		workers = flag.Int("workers", 4, "SQL-layer workers: partitions per intermediate result, not a goroutine count (see zidian.Options.Workers)")
 	)
 	flag.Parse()
 

@@ -67,7 +67,7 @@ func (e *kbaExec) runExtendFetchAll(n *kba.Extend) (*pval, error) {
 		rows []relation.Tuple
 	}
 	chunks := make([][]chunk, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = fanOut(e.workers, e.workers, func(w int) error {
 		var local []chunk
 		var data, fetch, moved int64
 		for node := w; node < nodes; node += e.workers {
@@ -119,7 +119,7 @@ func (e *kbaExec) runExtendFetchAll(n *kba.Extend) (*pval, error) {
 	shuffled := repartition(in, keyIdx, &e.c.shuffle)
 	outAttrs := append(append([]string{}, in.attrs...), qualify(n.Alias, kvSchema.Val)...)
 	out := newPval(outAttrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = fanOut(e.workers, e.workers, func(w int) error {
 		var local []relation.Tuple
 		for _, row := range shuffled.parts[w] {
 			k := relation.KeyString(row.Project(keyIdx))

@@ -2,7 +2,7 @@ package parallel
 
 import (
 	"fmt"
-	"sync"
+	"strconv"
 	"time"
 
 	"zidian/internal/baav"
@@ -32,7 +32,7 @@ func RunKBATraced(info *core.PlanInfo, store *baav.Store, workers int, t *obs.Tr
 		res, err := info.ToResult(nil)
 		return res, &Metrics{Workers: workers, Wall: time.Since(start)}, err
 	}
-	e := &kbaExec{store: store, workers: workers, trace: t}
+	e := &kbaExec{store: store, workers: workers, minRows: inlineRows, trace: t}
 	v, err := e.run(info.Root)
 	if err != nil {
 		return nil, nil, err
@@ -51,19 +51,29 @@ func RunKBATraced(info *core.PlanInfo, store *baav.Store, workers int, t *obs.Tr
 type kbaExec struct {
 	store   *baav.Store
 	workers int
+	// minRows sizes the fan-out of CPU-only operators (see goroutines):
+	// inlineRows for RunKBA; 0 gives one goroutine per partition, the
+	// schedule the baselines keep.
+	minRows int
 	c       counters
 	// fetchAll flattens ∝ into retrieve-then-join (the Section 7.1
 	// strawman) instead of the interleaved strategy.
 	fetchAll bool
 	// trace, when set, records operator spans and statement counters. The
 	// span stack stays single-goroutine: run recurses on the driving
-	// goroutine only, and forWorkers joins its workers before any span
-	// finishes.
+	// goroutine only, and fanOut joins its goroutines before the operator
+	// returns, so every span opens and finishes on that goroutine.
 	trace *obs.Trace
 }
 
 // kv returns the kv-op sink threaded into store calls; nil untraced.
 func (e *kbaExec) kv() *obs.KV { return e.trace.KVCounters() }
+
+// forRows runs fn once per partition of a CPU-only operator body that
+// touches rows rows, on as many goroutines as that input pays for.
+func (e *kbaExec) forRows(rows int, fn func(w int) error) error {
+	return fanOut(e.workers, goroutines(e.workers, rows, e.minRows), fn)
+}
 
 // run executes a node under an operator span. Workers fan out only inside
 // exec, so span open/close stays on the driving goroutine; litPlan wrappers
@@ -163,40 +173,40 @@ func (e *kbaExec) runScan(n *kba.ScanKV) (*pval, error) {
 	attrs := append(qualify(n.Alias, kvSchema.Key), qualify(n.Alias, kvSchema.Val)...)
 	out := newPval(attrs, e.workers)
 	nodes := e.store.Cluster.NodeCount()
-	// perNode records each storage node's row contribution for the span's
-	// fan-out annotation; every node is walked by exactly one worker, so the
-	// slots are written race-free.
+	// Each storage node is scanned on its own goroutine whatever the worker
+	// count, so the nodes' round trips overlap; node n's rows then fill
+	// partition n % workers in node order — scan output starts partitioned
+	// by storage layout. perNode records each node's row contribution for
+	// the span's fan-out annotation.
 	perNode := make([]int64, nodes)
-	var mu sync.Mutex
-	// Workers split the storage nodes; each worker scans its nodes and keeps
-	// the rows locally — scan output starts partitioned by storage layout.
-	err := forWorkers(e.workers, func(w int) error {
+	byNode := make([][]relation.Tuple, nodes)
+	err := fanOut(nodes, nodes, func(node int) error {
 		var local []relation.Tuple
 		var data, fetch int64
-		for node := w; node < nodes; node += e.workers {
-			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, func(key relation.Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
-				rows := blk.Expand()
-				e.trace.CountBlocks(1)
-				perNode[node] += int64(len(rows))
-				data += int64(len(rows)*len(kvSchema.Val) + len(key))
-				fetch += int64(key.SizeBytes())
-				for _, r := range rows {
-					fetch += int64(r.SizeBytes())
-					local = append(local, key.Concat(r))
-				}
-				return true
-			})
-			if err != nil {
-				return err
+		err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, func(key relation.Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
+			rows := blk.Expand()
+			e.trace.CountBlocks(1)
+			data += int64(len(rows)*len(kvSchema.Val) + len(key))
+			fetch += int64(key.SizeBytes())
+			for _, r := range rows {
+				fetch += int64(r.SizeBytes())
+				local = append(local, key.Concat(r))
 			}
-		}
+			return true
+		})
+		perNode[node] = int64(len(local))
+		byNode[node] = local
 		e.c.data.Add(data)
 		e.c.fetch.Add(fetch)
-		mu.Lock()
-		out.parts[w] = local
-		mu.Unlock()
-		return nil
+		return err
 	})
+	for node, rows := range byNode {
+		if w := node % e.workers; out.parts[w] == nil {
+			out.parts[w] = rows
+		} else {
+			out.parts[w] = append(out.parts[w], rows...)
+		}
+	}
 	e.trace.AnnotateNodes(perNode, nil)
 	return out, err
 }
@@ -338,10 +348,12 @@ func (e *kbaExec) runExtend(n *kba.Extend) (*pval, error) {
 	e.c.gets.Add(int64(gets))
 	cache := make(map[string][]relation.Tuple, len(keys))
 	var data, fetch int64
+	fetched := 0
 	for i, key := range keys {
 		var rows []relation.Tuple
 		if blk := blks[i]; blk != nil {
 			rows = blk.Expand()
+			fetched += len(rows)
 			e.trace.CountBlocks(1)
 			data += int64(len(rows)*len(kvSchema.Val) + len(key))
 			fetch += int64(key.SizeBytes())
@@ -356,7 +368,8 @@ func (e *kbaExec) runExtend(n *kba.Extend) (*pval, error) {
 
 	outAttrs := append(append([]string{}, in.attrs...), qualify(n.Alias, kvSchema.Val)...)
 	out := newPval(outAttrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	// The expand phase touches every probe row and every fetched block row.
+	err = e.forRows(shuffled.len()+fetched, func(w int) error {
 		var local []relation.Tuple
 		for _, row := range shuffled.parts[w] {
 			for _, r := range cache[relation.KeyString(row.Project(keyIdx))] {
@@ -401,7 +414,7 @@ func (e *kbaExec) runJoin(n *kba.Join) (*pval, error) {
 	ls := repartition(l, lIdx, &e.c.shuffle)
 	rs := repartition(r, rIdx, &e.c.shuffle)
 	out := newPval(append(append([]string{}, l.attrs...), r.attrs...), e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(ls.len()+rs.len(), func(w int) error {
 		index := make(map[string][]relation.Tuple)
 		for _, row := range rs.parts[w] {
 			k := relation.KeyString(row.Project(rIdx))
@@ -430,7 +443,7 @@ func (e *kbaExec) runSelect(n *kba.Select) (*pval, error) {
 		return nil, err
 	}
 	out := newPval(in.attrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(in.len(), func(w int) error {
 		var local []relation.Tuple
 		for _, row := range in.parts[w] {
 			if check(row) {
@@ -453,7 +466,7 @@ func (e *kbaExec) runProject(n *kba.Project) (*pval, error) {
 		return nil, err
 	}
 	out := newPval(append([]string{}, n.Attrs...), e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(in.len(), func(w int) error {
 		local := make([]relation.Tuple, len(in.parts[w]))
 		for i, row := range in.parts[w] {
 			local[i] = row.Project(idx)
@@ -475,7 +488,7 @@ func (e *kbaExec) runDistinct(n *kba.Distinct) (*pval, error) {
 	}
 	shuffled := repartition(in, all, &e.c.shuffle)
 	out := newPval(in.attrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(shuffled.len(), func(w int) error {
 		seen := make(map[string]bool)
 		var local []relation.Tuple
 		for _, row := range shuffled.parts[w] {
@@ -541,7 +554,7 @@ func (e *kbaExec) runDiff(n *kba.Diff) (*pval, error) {
 	}
 	rs := repartition(ra2, all, &e.c.shuffle)
 	out := newPval(l.attrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(ls.len()+rs.len(), func(w int) error {
 		drop := make(map[string]bool)
 		for _, row := range rs.parts[w] {
 			drop[relation.KeyString(row)] = true
@@ -620,11 +633,11 @@ func (e *kbaExec) runGroupBy(n *kba.GroupBy) (*pval, error) {
 	partialAttrs := append([]string{}, n.Keys...)
 	for i := range n.Aggs {
 		for j := 0; j < stateW; j++ {
-			partialAttrs = append(partialAttrs, fmt.Sprintf("$agg%d.%d", i, j))
+			partialAttrs = append(partialAttrs, "$agg"+strconv.Itoa(i)+"."+strconv.Itoa(j))
 		}
 	}
 	partial := newPval(partialAttrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(in.len(), func(w int) error {
 		type group struct {
 			key    relation.Tuple
 			states []*ra.AggState
@@ -678,7 +691,7 @@ func (e *kbaExec) runGroupBy(n *kba.GroupBy) (*pval, error) {
 		outAttrs = append(outAttrs, a.Name)
 	}
 	out := newPval(outAttrs, e.workers)
-	err = forWorkers(e.workers, func(w int) error {
+	err = e.forRows(shuffled.len(), func(w int) error {
 		type group struct {
 			key    relation.Tuple
 			states []*ra.AggState

@@ -15,7 +15,7 @@ import (
 
 // fixture builds the paper's Example 1 schema with a randomized instance,
 // both stores (TaaV and BaaV), and the checker.
-func fixture(t *testing.T, seed int64, nSupp, nPS int) (*relation.Database, *taav.Store, *baav.Store, *core.Checker) {
+func fixture(t testing.TB, seed int64, nSupp, nPS int) (*relation.Database, *taav.Store, *baav.Store, *core.Checker) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	db := relation.NewDatabase()

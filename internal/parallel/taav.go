@@ -34,7 +34,7 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 			continue
 		}
 		raw := newPval(atom.Schema.AttrNames(), workers)
-		err := forWorkers(workers, func(w int) error {
+		err := fanOut(workers, workers, func(w int) error {
 			var local []relation.Tuple
 			var gets, data, fetch int64
 			for node := w; node < nodes; node += workers {
@@ -74,7 +74,7 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 				return nil, nil, err
 			}
 			filtered := newPval(v.attrs, workers)
-			if err := forWorkers(workers, func(w int) error {
+			if err := fanOut(workers, workers, func(w int) error {
 				var local []relation.Tuple
 				for _, row := range v.parts[w] {
 					if check(row) {
@@ -148,7 +148,7 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 				return nil, nil, err
 			}
 			filtered := newPval(acc.attrs, workers)
-			if err := forWorkers(workers, func(w int) error {
+			if err := fanOut(workers, workers, func(w int) error {
 				var local []relation.Tuple
 				for _, row := range acc.parts[w] {
 					if check(row) {

@@ -102,7 +102,11 @@ type Options struct {
 	Engine string
 	// Nodes is the number of storage nodes (default 4).
 	Nodes int
-	// Workers is the SQL-layer parallelism (default 4).
+	// Workers is the number of partitions the parallel executor hashes
+	// intermediate results into — the unit of the paper's communication
+	// model (default 4). It is not a goroutine count: a scan uses one
+	// goroutine per storage node, and a CPU-only operator uses at most
+	// Workers goroutines, none (inline) on a small input.
 	Workers int
 	// MaxBoundedDegree is the block-degree bound used to classify bounded
 	// queries (default 1024).
