@@ -49,7 +49,7 @@ func main() {
 
 	// Zidian: interleaved parallel execution of the KBA plan.
 	before := baavStore.Cluster.Metrics()
-	zRes, zM, err := parallel.RunKBA(info, baavStore, workers)
+	zRes, zM, err := parallel.RunKBA(info, baavStore, workers, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

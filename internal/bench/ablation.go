@@ -54,7 +54,7 @@ func ablationInterleaved(out io.Writer, cfg Config) error {
 			before := sys.Baav.Cluster.Metrics()
 			var m *parallel.Metrics
 			if mode == "interleaved" {
-				_, m, err = parallel.RunKBA(info, sys.Baav, cfg.Workers)
+				_, m, err = parallel.RunKBA(info, sys.Baav, cfg.Workers, nil)
 			} else {
 				_, m, err = parallel.RunKBAFetchAll(info, sys.Baav, cfg.Workers)
 			}
@@ -107,7 +107,7 @@ func ablationCompression(out io.Writer, cfg Config) error {
 				return err
 			}
 			before := store.Cluster.Metrics()
-			if _, _, err := parallel.RunKBA(info, store, cfg.Workers); err != nil {
+			if _, _, err := parallel.RunKBA(info, store, cfg.Workers, nil); err != nil {
 				return err
 			}
 			fetch += store.Cluster.Metrics().Sub(before).BytesRead
@@ -148,7 +148,7 @@ func ablationStats(out io.Writer, cfg Config) error {
 		return fmt.Errorf("bench: expected a statistics plan for mq10")
 	}
 	before := store.Cluster.Metrics()
-	if _, _, err := parallel.RunKBA(info, store, cfg.Workers); err != nil {
+	if _, _, err := parallel.RunKBA(info, store, cfg.Workers, nil); err != nil {
 		return err
 	}
 	delta := store.Cluster.Metrics().Sub(before)
@@ -161,7 +161,7 @@ func ablationStats(out io.Writer, cfg Config) error {
 		return err
 	}
 	before = store.Cluster.Metrics()
-	_, m, err := parallel.RunKBA(info2, store, cfg.Workers)
+	_, m, err := parallel.RunKBA(info2, store, cfg.Workers, nil)
 	if err != nil {
 		return err
 	}

@@ -133,7 +133,7 @@ func (e *Env) RunQuery(sys *System, zidian bool, queryName string, workers int) 
 	if zidian {
 		info := e.plans[queryName]
 		before := sys.Baav.Cluster.Metrics()
-		res, m, err := parallel.RunKBA(info, sys.Baav, workers)
+		res, m, err := parallel.RunKBA(info, sys.Baav, workers, nil)
 		if err != nil {
 			return row, err
 		}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"errors"
@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"zidian/internal/baav"
-	"zidian/internal/kba"
+	"zidian/internal/core"
 	"zidian/internal/kv"
+	"zidian/internal/obs"
+	"zidian/internal/parallel"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
 )
 
 // fixture builds the paper's Example 1 schema with a randomized instance of
 // moderate size, its BaaV schema ~R1, and the mapped store.
-func fixture(t *testing.T, seed int64) (*relation.Database, *baav.Store, *Checker) {
+func fixture(t *testing.T, seed int64) (*relation.Database, *baav.Store, *core.Checker) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	db := relation.NewDatabase()
@@ -60,7 +62,27 @@ func fixture(t *testing.T, seed int64) (*relation.Database, *baav.Store, *Checke
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, store, NewChecker(schema, baav.RelSchemas(db))
+	return db, store, core.NewChecker(schema, baav.RelSchemas(db))
+}
+
+// answer executes a generated plan on the parallel executor at one and
+// four workers, which must give the same answer and read the same data, and
+// returns the four-worker answer, metrics and trace.
+func answer(t *testing.T, info *core.PlanInfo, store *baav.Store) (*ra.Result, *parallel.Metrics, *obs.Trace) {
+	t.Helper()
+	tr := &obs.Trace{}
+	res, m, err := parallel.RunKBA(info, store, 4, tr)
+	if err != nil {
+		t.Fatalf("%s: %v", info.Root, err)
+	}
+	one, m1, err := parallel.RunKBA(info, store, 1, nil)
+	if err != nil {
+		t.Fatalf("%s at one worker: %v", info.Root, err)
+	}
+	if !one.Equal(res) || m1.Gets != m.Gets || m1.DataValues != m.DataValues {
+		t.Fatalf("%s: one and four workers differ: %v (%+v) vs %v (%+v)", info.Root, one.Rows, m1, res.Rows, m)
+	}
+	return res, m, tr
 }
 
 const paperQ1 = `select PS.suppkey, SUM(PS.supplycost)
@@ -70,18 +92,18 @@ const paperQ1 = `select PS.suppkey, SUM(PS.supplycost)
 
 func TestPkOf(t *testing.T) {
 	_, _, c := fixture(t, 1)
-	if pk := c.pkOf(*c.Schema.ByName("PARTSUPP_by_supp")); len(pk) != 2 {
+	if pk := c.PkOf(*c.Schema.ByName("PARTSUPP_by_supp")); len(pk) != 2 {
 		t.Fatalf("pk = %v (schema contains partkey+suppkey)", pk)
 	}
-	if pk := c.pkOf(*c.Schema.ByName("SUPPLIER_by_nation")); len(pk) != 1 || pk[0] != "suppkey" {
+	if pk := c.PkOf(*c.Schema.ByName("SUPPLIER_by_nation")); len(pk) != 1 || pk[0] != "suppkey" {
 		t.Fatalf("pk = %v", pk)
 	}
 	// A schema missing part of the relation's key carries no pk.
 	db, _, _ := fixture(t, 1)
 	s2 := baav.MustSchema(baav.RelSchemas(db),
 		baav.KVSchema{Name: "PS_partial", Rel: "PARTSUPP", Key: []string{"suppkey"}, Val: []string{"supplycost"}})
-	c2 := NewChecker(s2, baav.RelSchemas(db))
-	if pk := c2.pkOf(*s2.ByName("PS_partial")); pk != nil {
+	c2 := core.NewChecker(s2, baav.RelSchemas(db))
+	if pk := c2.PkOf(*s2.ByName("PS_partial")); pk != nil {
 		t.Fatalf("pk = %v, want nil", pk)
 	}
 }
@@ -102,7 +124,7 @@ func TestDataPreservingFailsForPrunedSchema(t *testing.T) {
 		baav.KVSchema{Name: "SUPPLIER_by_nation", Rel: "SUPPLIER", Key: []string{"nationkey"}, Val: []string{"suppkey"}},
 		baav.KVSchema{Name: "PARTSUPP_prime", Rel: "PARTSUPP", Key: []string{"suppkey"}, Val: []string{"partkey", "supplycost"}},
 	)
-	c := NewChecker(schema, baav.RelSchemas(db))
+	c := core.NewChecker(schema, baav.RelSchemas(db))
 	ok, missing := c.DataPreserving()
 	if ok || len(missing) != 1 || missing[0] != "PARTSUPP" {
 		t.Fatalf("ok=%v missing=%v", ok, missing)
@@ -139,7 +161,7 @@ func TestCloExpandsThroughPrimaryKeys(t *testing.T) {
 		baav.KVSchema{Name: "PS_supp", Rel: "PARTSUPP", Key: []string{"suppkey"}, Val: []string{"partkey", "supplycost"}},
 		baav.KVSchema{Name: "PS_part", Rel: "PARTSUPP", Key: []string{"partkey"}, Val: []string{"suppkey", "availqty"}},
 	)
-	c := NewChecker(schema, baav.RelSchemas(db))
+	c := core.NewChecker(schema, baav.RelSchemas(db))
 	clo := c.Clo("PS_supp", nil)
 	if !clo["availqty"] {
 		t.Fatalf("clo = %v, must include availqty via pk expansion", clo)
@@ -230,10 +252,7 @@ func TestPlanPaperQ1(t *testing.T) {
 		t.Fatal("Q1 must be bounded at the store's own max degree")
 	}
 
-	got, stats, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, m, tr := answer(t, info, store)
 	want, err := ra.Evaluate(q, db)
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +260,8 @@ func TestPlanPaperQ1(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("plan answer differs from reference:\n%v\n%v", got.Rows, want.Rows)
 	}
-	if stats.Gets == 0 || stats.ScanBlocks != 0 {
-		t.Fatalf("stats = %+v", stats)
+	if scans := tr.KV.Snapshot().ScanNexts; m.Gets == 0 || scans != 0 {
+		t.Fatalf("gets=%d scan steps=%d", m.Gets, scans)
 	}
 }
 
@@ -256,10 +275,7 @@ func TestPlanNonScanFreeFallsBackToScan(t *testing.T) {
 	if info.ScanFree || len(info.Scans) != 1 {
 		t.Fatalf("expected one scan: %+v", info)
 	}
-	got, _, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := answer(t, info, store)
 	want, _ := ra.Evaluate(q, db)
 	if !got.Equal(want) {
 		t.Fatalf("answer differs: %v vs %v", got.Rows, want.Rows)
@@ -276,9 +292,8 @@ func TestPlanUnsatisfiable(t *testing.T) {
 	if !info.Empty {
 		t.Fatal("conflicting constants must produce the empty plan")
 	}
-	got, _, err := Answer(info, store)
-	if err != nil || len(got.Rows) != 0 {
-		t.Fatalf("empty answer expected: %v %v", got, err)
+	if got, _, _ := answer(t, info, store); len(got.Rows) != 0 {
+		t.Fatalf("empty answer expected: %v", got.Rows)
 	}
 	// Empty IN intersection too.
 	q2 := ra.MustParse("select S.suppkey from SUPPLIER S where S.nationkey = 1 and S.nationkey in (2, 3)", db)
@@ -293,11 +308,11 @@ func TestPlanNotAnswerable(t *testing.T) {
 	// Schema covering only part of PARTSUPP cannot answer availqty queries.
 	schema := baav.MustSchema(baav.RelSchemas(db),
 		baav.KVSchema{Name: "PS_prime", Rel: "PARTSUPP", Key: []string{"suppkey"}, Val: []string{"partkey", "supplycost"}})
-	c := NewChecker(schema, baav.RelSchemas(db))
+	c := core.NewChecker(schema, baav.RelSchemas(db))
 	q := ra.MustParse("select PS.availqty from PARTSUPP PS where PS.suppkey = 3", db)
 	_, err := c.Plan(q)
-	if !errors.Is(err, ErrNotAnswerable) {
-		t.Fatalf("err = %v, want ErrNotAnswerable", err)
+	if !errors.Is(err, core.ErrNotAnswerable) {
+		t.Fatalf("err = %v, want core.ErrNotAnswerable", err)
 	}
 }
 
@@ -316,10 +331,7 @@ func TestPlanWithOrderLimitDistinctFilters(t *testing.T) {
 		if !info.ScanFree {
 			t.Fatalf("%s should be scan-free", src)
 		}
-		got, _, err := Answer(info, store)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _, _ := answer(t, info, store)
 		want, _ := ra.Evaluate(q, db)
 		if !got.Equal(want) {
 			t.Fatalf("%s:\n got %v\nwant %v", src, got.Rows, want.Rows)
@@ -341,10 +353,7 @@ func TestPlanMixedScanAndExtend(t *testing.T) {
 	if info.ScanFree {
 		t.Fatal("query without constants cannot be scan-free")
 	}
-	got, _, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := answer(t, info, store)
 	want, _ := ra.Evaluate(q, db)
 	if !got.Equal(want) {
 		t.Fatalf("got %v want %v", got.Rows, want.Rows)
@@ -359,10 +368,7 @@ func TestPlanDisconnectedCrossProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := answer(t, info, store)
 	want, _ := ra.Evaluate(q, db)
 	if !got.Equal(want) {
 		t.Fatalf("got %v want %v", got.Rows, want.Rows)
@@ -395,10 +401,7 @@ func TestPlanDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %q: %v", src, err)
 		}
-		got, _, err := Answer(info, store)
-		if err != nil {
-			t.Fatalf("answer %q: %v", src, err)
-		}
+		got, _, _ := answer(t, info, store)
 		want, err := ra.Evaluate(q, db)
 		if err != nil {
 			t.Fatalf("reference %q: %v", src, err)
@@ -430,17 +433,14 @@ func TestPlanScanFreeAccessIsProportional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewChecker(schema, baav.RelSchemas(db))
+		c := core.NewChecker(schema, baav.RelSchemas(db))
 		q := ra.MustParse("select PS.partkey from PARTSUPP PS where PS.suppkey = 3", db)
 		info, err := c.Plan(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := Answer(info, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.DataValues
+		_, m, _ := answer(t, info, store)
+		return m.DataValues
 	}
 	small := run(0)
 	big := run(5000)
@@ -456,8 +456,13 @@ func TestToResultErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &kba.KeyedRel{KeyAttrs: []string{"wrong"}}
-	if _, err := info.ToResult(bad); err == nil {
+	if _, err := info.ToResult([]string{"wrong"}, []relation.Tuple{{relation.String("x")}}); err == nil {
 		t.Fatal("missing output column must error")
+	}
+	ordered := *info.Query
+	ordered.OrderBy = []ra.OrderKey{{Name: "nope"}}
+	info.Query = &ordered
+	if _, err := info.ToResult(info.OutCols, []relation.Tuple{{relation.String("x")}}); err == nil {
+		t.Fatal("missing ORDER BY column must error")
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zidian/internal/baav"
+	"zidian/internal/core"
 	"zidian/internal/kv"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
@@ -14,7 +15,7 @@ import (
 // splitFixture builds a database whose BaaV schema forces multi-step atom
 // assembly: PRODUCT is split into a category index (without name/price) and
 // a pk-keyed full schema, as in the quickstart example.
-func splitFixture(t *testing.T) (*relation.Database, *baav.Store, *Checker) {
+func splitFixture(t *testing.T) (*relation.Database, *baav.Store, *core.Checker) {
 	t.Helper()
 	db := relation.NewDatabase()
 	prod := relation.NewRelation(relation.MustSchema("PRODUCT",
@@ -42,7 +43,7 @@ func splitFixture(t *testing.T) (*relation.Database, *baav.Store, *Checker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, store, NewChecker(schema, baav.RelSchemas(db)).WithStats(store)
+	return db, store, core.NewChecker(schema, baav.RelSchemas(db)).WithStats(store)
 }
 
 // TestPlanMultiStepAnchor verifies the pk-refinement chain: category index
@@ -63,10 +64,7 @@ func TestPlanMultiStepAnchor(t *testing.T) {
 	if len(info.Extends) != 2 {
 		t.Fatalf("expected a 2-step chain, got extends %v", info.Extends)
 	}
-	got, _, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := answer(t, info, store)
 	want, _ := ra.Evaluate(q, db)
 	if !got.Equal(want) {
 		t.Fatalf("multi-step answer differs: %d vs %d rows", len(got.Rows), len(want.Rows))
@@ -89,7 +87,7 @@ func TestPlanPartialWithoutPkFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewChecker(schema, baav.RelSchemas(db)).WithStats(store)
+	c := core.NewChecker(schema, baav.RelSchemas(db)).WithStats(store)
 	q := ra.MustParse("select P.name, P.price from PRODUCT P where P.category = 'books'", db)
 	info, err := c.Plan(q)
 	if err != nil {
@@ -98,10 +96,7 @@ func TestPlanPartialWithoutPkFallsBack(t *testing.T) {
 	if info.ScanFree {
 		t.Fatalf("plan must fall back to a scan: %s", info.Root)
 	}
-	got, _, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _, _ := answer(t, info, store)
 	want, _ := ra.Evaluate(q, db)
 	if !got.Equal(want) {
 		t.Fatalf("answer differs (%d vs %d rows): plan %s", len(got.Rows), len(want.Rows), info.Root)
@@ -121,16 +116,13 @@ func TestPlanStatsAggSelection(t *testing.T) {
 	if !strings.Contains(info.Root.String(), "γstats") {
 		t.Fatalf("plan = %s", info.Root)
 	}
-	got, stats, err := Answer(info, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, m, _ := answer(t, info, store)
 	want, _ := ra.Evaluate(q, db)
 	if !got.Equal(want) {
 		t.Fatalf("stats answer differs:\n got %v\nwant %v", got.Rows, want.Rows)
 	}
-	if stats.DataValues != 0 {
-		t.Fatalf("stats plan must not decode tuple data, counted %d", stats.DataValues)
+	if m.DataValues != 0 {
+		t.Fatalf("stats plan must not decode tuple data, counted %d", m.DataValues)
 	}
 
 	// Predicates disable the pushdown.
@@ -158,7 +150,7 @@ func TestPlanStatsAggSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewChecker(c.Schema, c.Rels).WithStats(store2)
+	c2 := core.NewChecker(c.Schema, c.Rels).WithStats(store2)
 	info4, err := c2.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +189,7 @@ func TestCostBasedScanVsProbe(t *testing.T) {
 	q := ra.MustParse("select D.label, COUNT(*) from EVENTS E, DIM D where E.dim_id = D.dim_id group by D.label", db)
 
 	// Without stats the planner keeps the chase behaviour (probe).
-	noStats := NewChecker(schema, baav.RelSchemas(db))
+	noStats := core.NewChecker(schema, baav.RelSchemas(db))
 	infoProbe, err := noStats.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +199,7 @@ func TestCostBasedScanVsProbe(t *testing.T) {
 	}
 	// With stats, DIM (20 blocks) is scanned instead of probed from the
 	// 4000-row scan fragment... wait: 20 blocks <= 4*4000, so scanning wins.
-	withStats := NewChecker(schema, baav.RelSchemas(db)).WithStats(store)
+	withStats := core.NewChecker(schema, baav.RelSchemas(db)).WithStats(store)
 	infoScan, err := withStats.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -216,21 +208,15 @@ func TestCostBasedScanVsProbe(t *testing.T) {
 		t.Fatalf("expected DIM to be scanned under the cost model: %s", infoScan.Root)
 	}
 	// Both answer identically.
-	a1, _, err := Answer(infoProbe, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, _, err := Answer(infoScan, store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, _, _ := answer(t, infoProbe, store)
+	a2, _, _ := answer(t, infoScan, store)
 	if !a1.Equal(a2) {
 		t.Fatal("probe and scan plans must agree")
 	}
 }
 
 // TestRandomizedDifferential drives randomly generated conjunctive queries
-// through plan generation and both executors, comparing against the
+// through plan generation and the executor, comparing against the
 // reference evaluator.
 func TestRandomizedDifferential(t *testing.T) {
 	db, store, c := fixture(t, 42)
@@ -305,10 +291,7 @@ func TestRandomizedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %q: %v", src, err)
 		}
-		got, _, err := Answer(info, store)
-		if err != nil {
-			t.Fatalf("answer %q: %v", src, err)
-		}
+		got, _, _ := answer(t, info, store)
 		if !got.Equal(want) {
 			t.Fatalf("differential mismatch (%d vs %d rows) for %q\nplan %s",
 				len(got.Rows), len(want.Rows), src, info.Root)

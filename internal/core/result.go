@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"sort"
 
-	"zidian/internal/baav"
-	"zidian/internal/kba"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
 )
 
-// ToResult converts an executed plan output into the query's relational
-// answer: output columns are selected by name, then ORDER BY and LIMIT are
-// applied.
-func (p *PlanInfo) ToResult(rel *kba.KeyedRel) (*ra.Result, error) {
+// ToResult converts an executed plan output, rows over the attribute layout
+// attrs, into the query's relational answer: output columns are selected by
+// name, then ORDER BY and LIMIT are applied.
+func (p *PlanInfo) ToResult(attrs []string, rows []relation.Tuple) (*ra.Result, error) {
 	res := &ra.Result{Cols: p.Query.OutNames}
 	if p.Empty {
 		return res, nil
 	}
-	attrs := rel.Attrs()
 	pos := make(map[string]int, len(attrs))
 	for i, a := range attrs {
 		pos[a] = i
@@ -31,8 +28,9 @@ func (p *PlanInfo) ToResult(rel *kba.KeyedRel) (*ra.Result, error) {
 		}
 		idx[i] = j
 	}
-	for _, row := range rel.Flatten() {
-		res.Rows = append(res.Rows, row.Project(idx))
+	res.Rows = make([]relation.Tuple, len(rows))
+	for i, row := range rows {
+		res.Rows[i] = row.Project(idx)
 	}
 	if len(p.Query.OrderBy) > 0 {
 		keyIdx := make([]int, len(p.Query.OrderBy))
@@ -66,24 +64,4 @@ func (p *PlanInfo) ToResult(rel *kba.KeyedRel) (*ra.Result, error) {
 		res.Rows = res.Rows[:p.Query.Limit]
 	}
 	return res, nil
-}
-
-// Answer plans nothing: it executes an already generated plan sequentially
-// on the store and shapes the relational answer, returning the data-access
-// statistics of the run.
-func Answer(info *PlanInfo, store *baav.Store) (*ra.Result, *kba.ExecStats, error) {
-	if info.Empty {
-		res, err := info.ToResult(nil)
-		return res, &kba.ExecStats{}, err
-	}
-	exec := kba.NewExecutor(store)
-	out, err := exec.Run(info.Root)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := info.ToResult(out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, exec.Stats, nil
 }

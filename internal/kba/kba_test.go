@@ -1,11 +1,17 @@
-package kba
+// The KBA operator tests run plans on the parallel executor, the only one
+// there is, at one and four workers.
+package kba_test
 
 import (
 	"strings"
 	"testing"
 
 	"zidian/internal/baav"
+	"zidian/internal/core"
+	"zidian/internal/kba"
 	"zidian/internal/kv"
+	"zidian/internal/obs"
+	"zidian/internal/parallel"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
 	"zidian/internal/sql"
@@ -59,277 +65,232 @@ func fixture(t *testing.T) (*relation.Database, *baav.Store) {
 	return db, store
 }
 
+// exec runs a raw plan on workers partitions under a trace and returns its
+// output columns cols, which must all exist.
+func exec(store *baav.Store, plan kba.Plan, workers int, cols ...string) (*ra.Result, *parallel.Metrics, *obs.Trace, error) {
+	info := &core.PlanInfo{Query: &ra.Query{OutNames: cols, Limit: -1}, Root: plan, OutCols: cols}
+	tr := &obs.Trace{}
+	res, m, err := parallel.RunKBA(info, store, workers, tr)
+	return res, m, tr, err
+}
+
+// run is exec at four workers, requiring the one-worker run to give the
+// same answer and the same data-access counts.
+func run(t *testing.T, store *baav.Store, plan kba.Plan, cols ...string) (*ra.Result, *parallel.Metrics, *obs.Trace) {
+	t.Helper()
+	res, m, tr, err := exec(store, plan, 4, cols...)
+	if err != nil {
+		t.Fatalf("%s: %v", plan, err)
+	}
+	one, m1, _, err := exec(store, plan, 1, cols...)
+	if err != nil {
+		t.Fatalf("%s at one worker: %v", plan, err)
+	}
+	if !one.Equal(res) {
+		t.Fatalf("%s: one worker answers %v, four answer %v", plan, one.Rows, res.Rows)
+	}
+	if m1.Gets != m.Gets || m1.DataValues != m.DataValues {
+		t.Fatalf("%s: one worker reads gets=%d data=%d, four gets=%d data=%d",
+			plan, m1.Gets, m1.DataValues, m.Gets, m.DataValues)
+	}
+	return res, m, tr
+}
+
+// runErr runs a plan that must fail, at one and four workers.
+func runErr(t *testing.T, store *baav.Store, plan kba.Plan, why string) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		if _, _, _, err := exec(store, plan, workers); err == nil {
+			t.Fatalf("%s at %d workers: %s must error", plan, workers, why)
+		}
+	}
+}
+
+// ints builds integer rows.
+func ints(rows ...[]int64) []relation.Tuple {
+	out := make([]relation.Tuple, len(rows))
+	for i, r := range rows {
+		for _, v := range r {
+			out[i] = append(out[i], relation.Int(v))
+		}
+	}
+	return out
+}
+
+// wantRows requires got to hold the rows want, in any order.
+func wantRows(t *testing.T, got *ra.Result, want []relation.Tuple) {
+	t.Helper()
+	if !got.Equal(&ra.Result{Cols: got.Cols, Rows: want}) {
+		t.Fatalf("rows = %v, want %v", got.Rows, want)
+	}
+}
+
 // paperPlan builds ξ1 of Example 3:
 // group_by((("GERMANY" ∝ ~NATION) ∝ ~SUPPLIER) ∝ ~PARTSUPP, PS.suppkey, SUM(PS.supplycost)).
-func paperPlan() Plan {
-	seed := &Const{KeyAttrs: []string{"N.name"}, Keys: []relation.Tuple{{relation.String("GERMANY")}}}
-	t1 := &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
-	t2 := &Extend{Input: t1, KV: "SUPPLIER_by_nation", Alias: "S", KeyFrom: []string{"N.nationkey"}}
-	t3 := &Extend{Input: t2, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{"S.suppkey"}}
-	return &GroupBy{
+func paperPlan() kba.Plan {
+	seed := &kba.Const{KeyAttrs: []string{"N.name"}, Keys: []relation.Tuple{{relation.String("GERMANY")}}}
+	t1 := &kba.Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
+	t2 := &kba.Extend{Input: t1, KV: "SUPPLIER_by_nation", Alias: "S", KeyFrom: []string{"N.nationkey"}}
+	t3 := &kba.Extend{Input: t2, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{"S.suppkey"}}
+	return &kba.GroupBy{
 		Input: t3,
 		Keys:  []string{"S.suppkey"},
-		Aggs:  []AggSpec{{Func: sql.AggSum, Attr: "PS.supplycost", Name: "total"}},
+		Aggs:  []kba.AggSpec{{Func: sql.AggSum, Attr: "PS.supplycost", Name: "total"}},
 	}
 }
 
 func TestPaperQ1PlanScanFree(t *testing.T) {
 	_, store := fixture(t)
 	plan := paperPlan()
-	if !IsScanFree(plan) {
+	if !kba.IsScanFree(plan) {
 		t.Fatal("ξ1 is scan-free")
 	}
-	if len(CollectScans(plan)) != 0 {
+	if len(kba.CollectScans(plan)) != 0 {
 		t.Fatal("scan-free plan must scan nothing")
 	}
-	exec := NewExecutor(store)
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.SortBlocks()
-	if len(out.Blocks) != 2 {
-		t.Fatalf("blocks = %v", out.Blocks)
-	}
+	out, m, tr := run(t, store, plan, "S.suppkey", "total")
 	// Supplier 10: 5+7=12; supplier 11: 3.
-	if out.Blocks[0].Key[0].Int != 10 || out.Blocks[0].Rows[0][0].Int != 12 {
-		t.Fatalf("group 10 = %v", out.Blocks[0])
-	}
-	if out.Blocks[1].Key[0].Int != 11 || out.Blocks[1].Rows[0][0].Int != 3 {
-		t.Fatalf("group 11 = %v", out.Blocks[1])
-	}
+	wantRows(t, out, ints([]int64{10, 12}, []int64{11, 3}))
 	// Scan-free data access: one get per block (3 extends, 1+1+2 distinct
 	// keys), zero scans.
-	if exec.Stats.ScanBlocks != 0 {
-		t.Fatalf("scan blocks = %d", exec.Stats.ScanBlocks)
+	if n := tr.KV.Snapshot().ScanNexts; n != 0 {
+		t.Fatalf("scan steps = %d", n)
 	}
-	if exec.Stats.Gets != 4 {
-		t.Fatalf("gets = %d (want 4: germany, nation-1, supp-10, supp-11)", exec.Stats.Gets)
+	if m.Gets != 4 {
+		t.Fatalf("gets = %d (want 4: germany, nation-1, supp-10, supp-11)", m.Gets)
 	}
-	if exec.Stats.DataValues == 0 || exec.Stats.BytesRead == 0 {
-		t.Fatal("stats must count fetched data")
+	if m.DataValues == 0 || m.FetchBytes == 0 {
+		t.Fatal("metrics must count fetched data")
 	}
 }
 
 func TestExtendDropsUnmatchedRows(t *testing.T) {
 	_, store := fixture(t)
-	seed := &Const{KeyAttrs: []string{"N.name"}, Keys: []relation.Tuple{
+	seed := &kba.Const{KeyAttrs: []string{"N.name"}, Keys: []relation.Tuple{
 		{relation.String("GERMANY")}, {relation.String("ATLANTIS")},
 	}}
-	plan := &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
-	exec := NewExecutor(store)
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
+	plan := &kba.Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
+	out, m, tr := run(t, store, plan, "N.name", "N.nationkey")
+	if len(out.Rows) != 1 {
+		t.Fatalf("rows = %v", out.Rows)
 	}
-	if len(out.Blocks) != 1 {
-		t.Fatalf("blocks = %d", len(out.Blocks))
-	}
-	if exec.Stats.Gets != 2 || exec.Stats.Blocks != 1 {
-		t.Fatalf("gets=%d blocks=%d", exec.Stats.Gets, exec.Stats.Blocks)
+	if m.Gets != 2 || tr.Blocks() != 1 {
+		t.Fatalf("gets=%d blocks=%d", m.Gets, tr.Blocks())
 	}
 }
 
 func TestExtendDeduplicatesGets(t *testing.T) {
 	_, store := fixture(t)
 	// Two constant rows with the same key: one get.
-	seed := &Const{KeyAttrs: []string{"a", "N.name"}, Keys: []relation.Tuple{
+	seed := &kba.Const{KeyAttrs: []string{"a", "N.name"}, Keys: []relation.Tuple{
 		{relation.Int(1), relation.String("GERMANY")},
 		{relation.Int(2), relation.String("GERMANY")},
 	}}
-	plan := &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
-	exec := NewExecutor(store)
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
+	plan := &kba.Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
+	out, m, _ := run(t, store, plan, "a", "N.nationkey")
+	if m.Gets != 1 {
+		t.Fatalf("gets = %d, extend must dedup keys", m.Gets)
 	}
-	if exec.Stats.Gets != 1 {
-		t.Fatalf("gets = %d, extend must dedup keys", exec.Stats.Gets)
-	}
-	if len(out.Blocks) != 2 {
-		t.Fatalf("both input rows must extend: %d", len(out.Blocks))
-	}
+	wantRows(t, out, ints([]int64{1, 1}, []int64{2, 1}))
 }
 
 func TestExtendErrors(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	seed := &Const{KeyAttrs: []string{"x"}, Keys: []relation.Tuple{{relation.Int(1)}}}
-	if _, err := exec.Run(&Extend{Input: seed, KV: "nope", Alias: "N", KeyFrom: []string{"x"}}); err == nil {
-		t.Fatal("unknown KV schema")
-	}
-	if _, err := exec.Run(&Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"zz"}}); err == nil {
-		t.Fatal("unknown key attribute")
-	}
-	if _, err := exec.Run(&Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{}}); err == nil {
-		t.Fatal("key arity mismatch")
-	}
-	if _, err := exec.Run(&Const{KeyAttrs: []string{"a", "b"}, Keys: []relation.Tuple{{relation.Int(1)}}}); err == nil {
-		t.Fatal("constant arity mismatch")
-	}
+	seed := &kba.Const{KeyAttrs: []string{"x"}, Keys: []relation.Tuple{{relation.Int(1)}}}
+	runErr(t, store, &kba.Extend{Input: seed, KV: "nope", Alias: "N", KeyFrom: []string{"x"}}, "unknown KV schema")
+	runErr(t, store, &kba.Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"zz"}}, "unknown key attribute")
+	runErr(t, store, &kba.Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{}}, "key arity mismatch")
+	runErr(t, store, &kba.Const{KeyAttrs: []string{"a", "b"}, Keys: []relation.Tuple{{relation.Int(1)}}}, "constant arity mismatch")
 }
 
 func TestScanKV(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	out, err := exec.Run(&ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"})
-	if err != nil {
-		t.Fatal(err)
+	out, m, tr := run(t, store, &kba.ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, "S.nationkey", "S.suppkey")
+	wantRows(t, out, ints([]int64{1, 10}, []int64{1, 11}, []int64{2, 12}))
+	if tr.Blocks() != 2 || m.DataValues == 0 {
+		t.Fatalf("blocks=%d metrics=%+v", tr.Blocks(), m)
 	}
-	if out.Rows() != 3 {
-		t.Fatalf("rows = %d", out.Rows())
-	}
-	if out.KeyAttrs[0] != "S.nationkey" || out.ValAttrs[0] != "S.suppkey" {
-		t.Fatalf("attrs = %v %v", out.KeyAttrs, out.ValAttrs)
-	}
-	if exec.Stats.ScanBlocks != 2 || exec.Stats.DataValues == 0 {
-		t.Fatalf("stats = %+v", exec.Stats)
-	}
-	if IsScanFree(&ScanKV{KV: "x", Alias: "a"}) {
+	if kba.IsScanFree(&kba.ScanKV{KV: "x", Alias: "a"}) {
 		t.Fatal("ScanKV is not scan-free")
 	}
 }
 
 func TestShiftPreservesRelationalVersion(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	scan := &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
-	shifted, err := exec.Run(&Shift{Input: scan, NewKey: []string{"PS.partkey"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shifted.KeyAttrs[0] != "PS.partkey" || len(shifted.Blocks) != 2 {
-		t.Fatalf("shifted = %s", shifted)
-	}
-	base, err := exec.Run(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same relational version: compare flattened multisets modulo column order.
-	idx, err := attrPositions(shifted.Attrs(), base.Attrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{}
-	for _, r := range base.Flatten() {
-		want[relation.KeyString(r)]++
-	}
-	got := map[string]int{}
-	for _, r := range shifted.Flatten() {
-		got[relation.KeyString(r.Project(idx))]++
-	}
-	if len(got) != len(want) {
-		t.Fatalf("flatten mismatch: %d vs %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatal("shift changed the relational version")
-		}
+	scan := &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
+	cols := []string{"PS.partkey", "PS.suppkey", "PS.supplycost", "PS.availqty"}
+	shifted, _, _ := run(t, store, &kba.Shift{Input: scan, NewKey: []string{"PS.partkey"}}, cols...)
+	base, _, _ := run(t, store, scan, cols...)
+	if len(base.Rows) != 4 || !shifted.Equal(base) {
+		t.Fatalf("shift changed the relational version: %v vs %v", shifted.Rows, base.Rows)
 	}
 }
 
 func TestJoin(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	j := &Join{
-		L:   &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"},
-		R:   &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+	j := &kba.Join{
+		L:   &kba.ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"},
+		R:   &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
 		LOn: []string{"S.suppkey"},
 		ROn: []string{"PS.suppkey"},
 	}
-	out, err := exec.Run(j)
-	if err != nil {
-		t.Fatal(err)
+	out, _, _ := run(t, store, j, "S.nationkey", "S.suppkey", "PS.suppkey", "PS.partkey", "PS.supplycost", "PS.availqty")
+	if len(out.Rows) != 4 {
+		t.Fatalf("rows = %v", out.Rows)
 	}
-	if out.Rows() != 4 {
-		t.Fatalf("rows = %d", out.Rows())
-	}
-	if len(out.Attrs()) != 2+4 {
-		t.Fatalf("attrs = %v", out.Attrs())
-	}
-	if _, err := exec.Run(&Join{L: j.L, R: j.R, LOn: []string{"S.suppkey"}, ROn: nil}); err == nil {
-		t.Fatal("mismatched join lists")
-	}
+	runErr(t, store, &kba.Join{L: j.L, R: j.R, LOn: []string{"S.suppkey"}, ROn: nil}, "mismatched join lists")
 }
 
 func TestSelectPredicates(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	scan := &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
+	scan := &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
 	five := relation.Int(5)
-	sel := &Select{Input: scan, Preds: []Pred{
+	sel := &kba.Select{Input: scan, Preds: []kba.Pred{
 		{Attr: "PS.supplycost", Op: sql.OpGe, Lit: &five},
 		{Attr: "PS.partkey", Op: sql.OpNe, RAttr: "PS.availqty"},
 		{Attr: "PS.suppkey", In: []relation.Value{relation.Int(10), relation.Int(12)}},
 	}}
-	out, err := exec.Run(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 3 {
-		t.Fatalf("rows = %d", out.Rows())
-	}
-	bad := &Select{Input: scan, Preds: []Pred{{Attr: "zzz", Op: sql.OpEq, Lit: &five}}}
-	if _, err := exec.Run(bad); err == nil {
-		t.Fatal("unknown attribute must error")
-	}
+	out, _, _ := run(t, store, sel, "PS.suppkey", "PS.partkey")
+	wantRows(t, out, ints([]int64{10, 100}, []int64{10, 101}, []int64{12, 100}))
+	bad := &kba.Select{Input: scan, Preds: []kba.Pred{{Attr: "zzz", Op: sql.OpEq, Lit: &five}}}
+	runErr(t, store, bad, "unknown attribute")
 }
 
 func TestProject(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	out, err := exec.Run(&Project{
-		Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+	out, _, _ := run(t, store, &kba.Project{
+		Input: &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
 		Attrs: []string{"PS.partkey", "PS.suppkey"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Attrs()) != 2 || out.Rows() != 4 {
-		t.Fatalf("projected = %s", out)
-	}
-	if out.KeyAttrs[0] != "PS.suppkey" {
-		t.Fatalf("kept key attrs = %v", out.KeyAttrs)
+	}, "PS.partkey", "PS.suppkey")
+	wantRows(t, out, ints([]int64{100, 10}, []int64{101, 10}, []int64{100, 11}, []int64{100, 12}))
+	_, _, _, err := exec(store, &kba.Project{
+		Input: &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+		Attrs: []string{"PS.partkey"},
+	}, 4, "PS.suppkey")
+	if err == nil {
+		t.Fatal("a projected-away column must not reach the output")
 	}
 }
 
 func TestUnionAndDiff(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	a := &Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}}}
-	b := &Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(2)}, {relation.Int(3)}}}
-	u, err := exec.Run(&Union{L: a, R: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Rows() != 3 {
-		t.Fatalf("union rows = %d", u.Rows())
-	}
-	d, err := exec.Run(&Diff{L: a, R: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Rows() != 1 || d.Blocks[0].Key[0].Int != 1 {
-		t.Fatalf("diff = %v", d.Blocks)
-	}
-	mismatched := &Const{KeyAttrs: []string{"other"}, Keys: []relation.Tuple{{relation.Int(1)}}}
-	if _, err := exec.Run(&Union{L: a, R: mismatched}); err == nil {
-		t.Fatal("mismatched attrs must error")
-	}
+	a := &kba.Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}}}
+	b := &kba.Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(2)}, {relation.Int(3)}}}
+	u, _, _ := run(t, store, &kba.Union{L: a, R: b}, "k")
+	wantRows(t, u, ints([]int64{1}, []int64{2}, []int64{3}))
+	d, _, _ := run(t, store, &kba.Diff{L: a, R: b}, "k")
+	wantRows(t, d, ints([]int64{1}))
+	mismatched := &kba.Const{KeyAttrs: []string{"other"}, Keys: []relation.Tuple{{relation.Int(1)}}}
+	runErr(t, store, &kba.Union{L: a, R: mismatched}, "mismatched attrs")
+	runErr(t, store, &kba.Diff{L: a, R: mismatched}, "mismatched attrs")
 }
 
 func TestDistinct(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	// Project supplier block values onto nationkey only: duplicates appear.
-	p := &Project{Input: &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, Attrs: []string{"S.nationkey"}}
-	out, err := exec.Run(&Distinct{Input: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 2 {
-		t.Fatalf("distinct rows = %d", out.Rows())
-	}
+	p := &kba.Project{Input: &kba.ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, Attrs: []string{"S.nationkey"}}
+	out, _, _ := run(t, store, &kba.Distinct{Input: p}, "S.nationkey")
+	wantRows(t, out, ints([]int64{1}, []int64{2}))
 }
 
 func TestGroupByMatchesReference(t *testing.T) {
@@ -342,67 +303,52 @@ func TestGroupByMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := NewExecutor(store)
-	out, err := exec.Run(paperPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := &ra.Result{Cols: want.Cols, Rows: out.Flatten()}
-	if !got.Equal(want) {
+	out, _, _ := run(t, store, paperPlan(), "S.suppkey", "total")
+	if got := (&ra.Result{Cols: want.Cols, Rows: out.Rows}); !got.Equal(want) {
 		t.Fatalf("KBA plan answer %v != reference %v", got.Rows, want.Rows)
 	}
 }
 
+// TestStatsAggMatchesGroupBy: the statistics plan answers like a group-by
+// over the scanned instance and like ra.Evaluate, at every worker count,
+// while reading strictly less data.
 func TestStatsAggMatchesGroupBy(t *testing.T) {
-	_, store := fixture(t)
-	aggs := []AggSpec{
+	db, store := fixture(t)
+	aggs := []kba.AggSpec{
 		{Func: sql.AggCount, Star: true, Name: "cnt"},
 		{Func: sql.AggSum, Attr: "PS.supplycost", Name: "sum"},
 		{Func: sql.AggMin, Attr: "PS.supplycost", Name: "min"},
 		{Func: sql.AggMax, Attr: "PS.supplycost", Name: "max"},
 		{Func: sql.AggAvg, Attr: "PS.supplycost", Name: "avg"},
 	}
-	full := NewExecutor(store)
-	wantRel, err := full.Run(&GroupBy{
-		Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
-		Keys:  []string{"PS.suppkey"},
-		Aggs:  aggs,
-	})
+	cols := []string{"PS.suppkey", "cnt", "sum", "min", "max", "avg"}
+	want, err := ra.Evaluate(ra.MustParse(`select PS.suppkey, COUNT(*), SUM(PS.supplycost),
+		MIN(PS.supplycost), MAX(PS.supplycost), AVG(PS.supplycost)
+		from PARTSUPP PS group by PS.suppkey`, db), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := NewExecutor(store)
-	gotRel, err := fast.Run(&StatsAgg{KV: "PARTSUPP_by_supp", Alias: "PS", Aggs: aggs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRel.SortBlocks()
-	gotRel.SortBlocks()
-	if len(gotRel.Blocks) != len(wantRel.Blocks) {
-		t.Fatalf("groups: %d vs %d", len(gotRel.Blocks), len(wantRel.Blocks))
-	}
-	for i := range wantRel.Blocks {
-		w, g := wantRel.Blocks[i], gotRel.Blocks[i]
-		if !w.Key.Equal(g.Key) {
-			t.Fatalf("group keys differ: %v vs %v", w.Key, g.Key)
+	full := &kba.GroupBy{Input: &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, Keys: []string{"PS.suppkey"}, Aggs: aggs}
+	fast := &kba.StatsAgg{KV: "PARTSUPP_by_supp", Alias: "PS", Aggs: aggs}
+	for _, workers := range []int{1, 2, 4} {
+		wantGot, fullM, _, err := exec(store, full, workers, cols...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range w.Rows[0] {
-			if w.Rows[0][j].AsFloat() != g.Rows[0][j].AsFloat() {
-				t.Fatalf("group %v agg %d: %v vs %v", w.Key, j, g.Rows[0][j], w.Rows[0][j])
-			}
+		got, fastM, _, err := exec(store, fast, workers, cols...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The stats path reads block headers only: strictly less data.
-	if fast.Stats.DataValues >= full.Stats.DataValues {
-		t.Fatalf("stats path must touch less data: %d vs %d", fast.Stats.DataValues, full.Stats.DataValues)
-	}
-}
-
-func TestExecStatsAdd(t *testing.T) {
-	a := ExecStats{Gets: 1, Blocks: 2, DataValues: 3, ScanBlocks: 4, BytesRead: 5}
-	a.Add(ExecStats{Gets: 10, Blocks: 20, DataValues: 30, ScanBlocks: 40, BytesRead: 50})
-	if a.Gets != 11 || a.Blocks != 22 || a.DataValues != 33 || a.ScanBlocks != 44 || a.BytesRead != 55 {
-		t.Fatalf("add = %+v", a)
+		if !got.Equal(wantGot) {
+			t.Fatalf("workers=%d: stats answer %v, group-by answers %v", workers, got.Rows, wantGot.Rows)
+		}
+		if !(&ra.Result{Cols: want.Cols, Rows: got.Rows}).Equal(want) {
+			t.Fatalf("workers=%d: stats answer %v, ra.Evaluate answers %v", workers, got.Rows, want.Rows)
+		}
+		// The stats path reads block headers only: strictly less data.
+		if fastM.DataValues >= fullM.DataValues {
+			t.Fatalf("workers=%d: stats path must touch less data: %d vs %d", workers, fastM.DataValues, fullM.DataValues)
+		}
 	}
 }
 
@@ -414,47 +360,34 @@ func TestPlanStrings(t *testing.T) {
 			t.Fatalf("plan string missing %q: %s", frag, s)
 		}
 	}
-	nodes := []Plan{
-		&Shift{Input: &ScanKV{KV: "a", Alias: "A"}, NewKey: []string{"x"}},
-		&Select{Input: &ScanKV{KV: "a", Alias: "A"}, Preds: []Pred{{Attr: "x", In: []relation.Value{relation.Int(1)}}}},
-		&Project{Input: &ScanKV{KV: "a", Alias: "A"}, Attrs: []string{"x"}},
-		&Union{L: &ScanKV{KV: "a", Alias: "A"}, R: &ScanKV{KV: "b", Alias: "B"}},
-		&Diff{L: &ScanKV{KV: "a", Alias: "A"}, R: &ScanKV{KV: "b", Alias: "B"}},
-		&Distinct{Input: &ScanKV{KV: "a", Alias: "A"}},
-		&StatsAgg{KV: "a", Alias: "A"},
+	nodes := []kba.Plan{
+		&kba.Shift{Input: &kba.ScanKV{KV: "a", Alias: "A"}, NewKey: []string{"x"}},
+		&kba.Select{Input: &kba.ScanKV{KV: "a", Alias: "A"}, Preds: []kba.Pred{{Attr: "x", In: []relation.Value{relation.Int(1)}}}},
+		&kba.Project{Input: &kba.ScanKV{KV: "a", Alias: "A"}, Attrs: []string{"x"}},
+		&kba.Union{L: &kba.ScanKV{KV: "a", Alias: "A"}, R: &kba.ScanKV{KV: "b", Alias: "B"}},
+		&kba.Diff{L: &kba.ScanKV{KV: "a", Alias: "A"}, R: &kba.ScanKV{KV: "b", Alias: "B"}},
+		&kba.Distinct{Input: &kba.ScanKV{KV: "a", Alias: "A"}},
+		&kba.StatsAgg{KV: "a", Alias: "A"},
 	}
 	for _, n := range nodes {
 		if n.String() == "" {
 			t.Fatalf("%T has empty String()", n)
 		}
 	}
-	if len(CollectScans(nodes[3])) != 2 {
+	if len(kba.CollectScans(nodes[3])) != 2 {
 		t.Fatal("union scans both sides")
 	}
 }
 
 func TestShiftThenGroupBy(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	// Re-key partsupp by partkey, then aggregate per part.
-	plan := &GroupBy{
-		Input: &Shift{Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, NewKey: []string{"PS.partkey"}},
+	plan := &kba.GroupBy{
+		Input: &kba.Shift{Input: &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, NewKey: []string{"PS.partkey"}},
 		Keys:  []string{"PS.partkey"},
-		Aggs:  []AggSpec{{Func: sql.AggCount, Star: true, Name: "n"}},
+		Aggs:  []kba.AggSpec{{Func: sql.AggCount, Star: true, Name: "n"}},
 	}
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.SortBlocks()
-	if len(out.Blocks) != 2 {
-		t.Fatalf("groups = %d", len(out.Blocks))
-	}
-	if out.Blocks[0].Key[0].Int != 100 || out.Blocks[0].Rows[0][0].Int != 3 {
-		t.Fatalf("part 100 count = %v", out.Blocks[0])
-	}
-	// Shift with an unknown attribute errors.
-	if _, err := exec.Run(&Shift{Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, NewKey: []string{"zzz"}}); err == nil {
-		t.Fatal("unknown shift key must error")
-	}
+	out, _, _ := run(t, store, plan, "PS.partkey", "n")
+	wantRows(t, out, ints([]int64{100, 3}, []int64{101, 1}))
+	runErr(t, store, &kba.Shift{Input: &kba.ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, NewKey: []string{"zzz"}}, "unknown shift key")
 }

@@ -1,3 +1,8 @@
+// Package kba implements KBA, the paper's extension of relational algebra to
+// keyed blocks (Section 4.2): plan nodes for the new operators extension (∝)
+// and shift (↑) and BaaV versions of the classical operators, parameter
+// binding of plan templates, and EXPLAIN rendering. Plans run on the
+// parallel executor in internal/parallel.
 package kba
 
 import (

@@ -19,7 +19,7 @@ func benchPlan(b *testing.B, nPS int, src string) func(workers int) error {
 		b.Fatal(err)
 	}
 	return func(workers int) error {
-		_, _, err := RunKBA(info, bv, workers)
+		_, _, err := RunKBA(info, bv, workers, nil)
 		return err
 	}
 }

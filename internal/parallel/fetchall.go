@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"time"
-
 	"zidian/internal/baav"
 	"zidian/internal/core"
 	"zidian/internal/kba"
@@ -17,28 +15,7 @@ import (
 // scan-free guarantee; the ablation benchmark contrasts it with the
 // interleaved RunKBA.
 func RunKBAFetchAll(info *core.PlanInfo, store *baav.Store, workers int) (*ra.Result, *Metrics, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	start := time.Now()
-	if info.Empty {
-		res, err := info.ToResult(nil)
-		return res, &Metrics{Workers: workers, Wall: time.Since(start)}, err
-	}
-	e := &kbaExec{store: store, workers: workers, fetchAll: true}
-	v, err := e.run(info.Root)
-	if err != nil {
-		return nil, nil, err
-	}
-	flat, err := kba.FromRows(v.attrs, v.rows(), v.attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := info.ToResult(flat)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, e.c.metrics(workers, time.Since(start)), nil
+	return runPlan(info, &kbaExec{store: store, workers: workers, fetchAll: true})
 }
 
 // runExtendFetchAll replaces the interleaved ∝ with retrieve-then-join: the

@@ -11,41 +11,37 @@ import (
 	"zidian/internal/obs"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
+	"zidian/internal/sql"
 )
 
 // RunKBA executes a generated KBA plan with the interleaved parallel
-// strategy (Section 7.2) on the given number of workers and shapes the
-// relational answer.
-func RunKBA(info *core.PlanInfo, store *baav.Store, workers int) (*ra.Result, *Metrics, error) {
-	return RunKBATraced(info, store, workers, nil)
+// strategy (Section 7.2) over the given number of workers and shapes the
+// relational answer. When t is non-nil, operator spans record rows, wall
+// time, inclusive kv deltas, and the worker fan-out with per-worker row
+// counts; a nil trace costs nothing.
+func RunKBA(info *core.PlanInfo, store *baav.Store, workers int, t *obs.Trace) (*ra.Result, *Metrics, error) {
+	return runPlan(info, &kbaExec{store: store, workers: workers, minRows: inlineRows, trace: t})
 }
 
-// RunKBATraced is RunKBA with a per-statement trace: operator spans record
-// rows, wall time, inclusive kv deltas, and the worker fan-out with
-// per-worker row counts. A nil trace costs nothing.
-func RunKBATraced(info *core.PlanInfo, store *baav.Store, workers int, t *obs.Trace) (*ra.Result, *Metrics, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// runPlan executes info's plan on e and shapes the answer straight from the
+// output partitions. It clamps the worker count and short-cuts the empty
+// plan; the metrics cover the whole call.
+func runPlan(info *core.PlanInfo, e *kbaExec) (*ra.Result, *Metrics, error) {
+	e.workers = max(e.workers, 1)
 	start := time.Now()
 	if info.Empty {
-		res, err := info.ToResult(nil)
-		return res, &Metrics{Workers: workers, Wall: time.Since(start)}, err
+		res, err := info.ToResult(nil, nil)
+		return res, &Metrics{Workers: e.workers, Wall: time.Since(start)}, err
 	}
-	e := &kbaExec{store: store, workers: workers, minRows: inlineRows, trace: t}
 	v, err := e.run(info.Root)
 	if err != nil {
 		return nil, nil, err
 	}
-	flat, err := kba.FromRows(v.attrs, v.rows(), v.attrs)
+	res, err := info.ToResult(v.attrs, v.rows())
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := info.ToResult(flat)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, e.c.metrics(workers, time.Since(start)), nil
+	return res, e.c.metrics(e.workers, time.Since(start)), nil
 }
 
 type kbaExec struct {
@@ -403,6 +399,9 @@ func (e *kbaExec) runJoin(n *kba.Join) (*pval, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(n.LOn) != len(n.ROn) {
+		return nil, fmt.Errorf("parallel: join attribute lists differ in length")
+	}
 	lIdx, err := l.positions(n.LOn)
 	if err != nil {
 		return nil, err
@@ -581,24 +580,94 @@ type litPlan struct{ v *pval }
 func (l *litPlan) Children() []kba.Plan { return nil }
 func (l *litPlan) String() string       { return "lit" }
 
+// runStatsAgg answers a group-by over a whole KV instance from per-block
+// statistics, reading only block headers. Supported when group keys are the
+// instance key and every aggregate is COUNT(*)/SUM/MIN/MAX/AVG over a
+// numeric value attribute. The header walk is one sequential scan; its
+// (tiny) output is dealt round-robin over the partitions.
 func (e *kbaExec) runStatsAgg(n *kba.StatsAgg) (*pval, error) {
-	// Statistics scans read only block headers; run sequentially and
-	// partition the (tiny) output. The delegate sinks kv ops into the
-	// statement's counters without opening a second span tree (this node's
-	// own span is already on the stack).
-	seq := kba.NewExecutor(e.store)
-	seq.KV = e.kv()
-	rel, err := seq.Run(n)
+	kvSchema := e.store.Schema.ByName(n.KV)
+	if kvSchema == nil {
+		return nil, errUnknownKV(n.KV)
+	}
+	valPos := make(map[string]int, len(kvSchema.Val))
+	for i, a := range kvSchema.Val {
+		valPos[n.Alias+"."+a] = i
+	}
+	// ScanStats yields segmented blocks of one key as separate records;
+	// merge them here by key.
+	merged := make(map[string]*statsAcc)
+	var order []*statsAcc
+	err := e.store.ScanStatsT(e.kv(), n.KV, func(key relation.Tuple, stats *baav.BlockStats) bool {
+		if stats == nil {
+			return true // block without stats: nothing to merge
+		}
+		ks := relation.KeyString(key)
+		m, ok := merged[ks]
+		if !ok {
+			m = &statsAcc{key: key}
+			merged[ks] = m
+			order = append(order, m)
+		}
+		m.stats.Merge(stats)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.c.data.Add(seq.Stats.DataValues)
-	out := newPval(rel.Attrs(), e.workers)
-	for i, row := range rel.Flatten() {
+	attrs := qualify(n.Alias, kvSchema.Key)
+	for _, a := range n.Aggs {
+		attrs = append(attrs, a.Name)
+	}
+	out := newPval(attrs, e.workers)
+	for i, m := range order {
+		row := append(make(relation.Tuple, 0, len(attrs)), m.key...)
+		for _, a := range n.Aggs {
+			v, err := statsFinal(m, a, valPos)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		}
 		w := i % e.workers
 		out.parts[w] = append(out.parts[w], row)
 	}
 	return out, nil
+}
+
+// statsAcc merges the statistics of one key's block segments.
+type statsAcc struct {
+	key   relation.Tuple
+	stats baav.BlockStats
+}
+
+func statsFinal(m *statsAcc, a kba.AggSpec, valPos map[string]int) (relation.Value, error) {
+	if a.Star || a.Func == sql.AggCount {
+		return relation.Int(m.stats.Rows), nil
+	}
+	i, ok := valPos[a.Attr]
+	if !ok {
+		return relation.Value{}, fmt.Errorf("parallel: stats aggregate attribute %q not a value attribute", a.Attr)
+	}
+	if i >= len(m.stats.Attrs) || !m.stats.Attrs[i].Valid {
+		return relation.Value{}, fmt.Errorf("parallel: no statistics for attribute %q", a.Attr)
+	}
+	st := m.stats.Attrs[i]
+	switch a.Func {
+	case sql.AggSum:
+		return relation.Float(st.Sum), nil
+	case sql.AggMin:
+		return relation.Float(st.Min), nil
+	case sql.AggMax:
+		return relation.Float(st.Max), nil
+	case sql.AggAvg:
+		if m.stats.Rows == 0 {
+			return relation.Null(), nil
+		}
+		return relation.Float(st.Sum / float64(m.stats.Rows)), nil
+	default:
+		return relation.Value{}, fmt.Errorf("parallel: aggregate %s not supported from statistics", a.Func)
+	}
 }
 
 // runGroupBy aggregates with local partial states, shuffles the encoded

@@ -105,7 +105,7 @@ func TestParallelKBADifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			got, m, err := RunKBA(info, bv, workers)
+			got, m, err := RunKBA(info, bv, workers, nil)
 			if err != nil {
 				t.Fatalf("RunKBA(%q, %d): %v", src, workers, err)
 			}
@@ -158,7 +158,7 @@ func TestScanFreeBeatsBaselineOnAccess(t *testing.T) {
 	if !info.ScanFree {
 		t.Fatal("Q1 must be scan-free")
 	}
-	_, mk, err := RunKBA(info, bv, 4)
+	_, mk, err := RunKBA(info, bv, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestBoundedCommunication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, m, err := RunKBA(info, bv, 4)
+		_, m, err := RunKBA(info, bv, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestRunKBAEmptyPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := RunKBA(info, bv, 4)
+	res, m, err := RunKBA(info, bv, 4, nil)
 	if err != nil || len(res.Rows) != 0 || m.Workers != 4 {
 		t.Fatalf("empty plan: %v %v %v", res, m, err)
 	}
@@ -297,7 +297,7 @@ func TestInterleavedBeatsFetchAllOnAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mi, err := RunKBA(info, bv, 4)
+	_, mi, err := RunKBA(info, bv, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

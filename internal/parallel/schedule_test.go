@@ -146,7 +146,7 @@ func TestScanOverlapsNodes(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		tr := &obs.Trace{}
 		start := time.Now()
-		got, _, err := RunKBATraced(info, bv, 1, tr)
+		got, _, err := RunKBA(info, bv, 1, tr)
 		elapsed = time.Since(start)
 		if err != nil {
 			t.Fatal(err)
@@ -359,7 +359,7 @@ func TestScheduleDifferentialQueries(t *testing.T) {
 // testing.AllocsPerRun runs at GOMAXPROCS 1, so it cannot see goroutine
 // fan-out; the test checks separately that every operator of the plan is
 // small enough to run inline at any GOMAXPROCS.
-const pointAllocBudget = 172
+const pointAllocBudget = 115
 
 func TestPointPlanAllocs(t *testing.T) {
 	if testing.Short() {
@@ -376,7 +376,7 @@ func TestPointPlanAllocs(t *testing.T) {
 	// total row count, so that total running inline means no operator
 	// fans out.
 	tr := &obs.Trace{}
-	res, _, err := RunKBATraced(info, bv, 4, tr)
+	res, _, err := RunKBA(info, bv, 4, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestPointPlanAllocs(t *testing.T) {
 		t.Fatalf("point plan moves %d rows through its operators, sized to %d goroutines; want inline", total, g)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := RunKBA(info, bv, 4); err != nil {
+		if _, _, err := RunKBA(info, bv, 4, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"zidian/internal/baav"
 	"zidian/internal/core"
 	"zidian/internal/kv"
+	"zidian/internal/parallel"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
 )
@@ -90,13 +91,15 @@ func TestDesignMakesWorkloadScanFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := core.Answer(info, store)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, _ := ra.Evaluate(q, db)
-		if !got.Equal(want) {
-			t.Fatalf("designed schema answer differs for %s", q)
+		for _, workers := range []int{1, 4} {
+			got, _, err := parallel.RunKBA(info, store, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("designed schema answer at %d workers differs for %s", workers, q)
+			}
 		}
 	}
 }

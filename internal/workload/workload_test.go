@@ -54,20 +54,15 @@ func verifyWorkload(t *testing.T, w *Workload) {
 		if err != nil {
 			t.Fatalf("%s/%s: reference: %v", w.Name, wq.Name, err)
 		}
-		got, _, err := core.Answer(info, bv)
-		if err != nil {
-			t.Fatalf("%s/%s: answer: %v", w.Name, wq.Name, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s/%s: Zidian answer differs from reference (%d vs %d rows)",
-				w.Name, wq.Name, len(got.Rows), len(want.Rows))
-		}
-		gotPar, _, err := parallel.RunKBA(info, bv, 4)
-		if err != nil {
-			t.Fatalf("%s/%s: parallel: %v", w.Name, wq.Name, err)
-		}
-		if !gotPar.Equal(want) {
-			t.Fatalf("%s/%s: parallel Zidian answer differs", w.Name, wq.Name)
+		for _, workers := range []int{1, 4} {
+			got, _, err := parallel.RunKBA(info, bv, workers, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: answer at %d workers: %v", w.Name, wq.Name, workers, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s/%s: Zidian answer at %d workers differs from reference (%d vs %d rows)",
+					w.Name, wq.Name, workers, len(got.Rows), len(want.Rows))
+			}
 		}
 		gotBase, _, err := parallel.RunTaaV(q, tv, 4)
 		if err != nil {

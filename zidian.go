@@ -449,7 +449,7 @@ func (p *Prepared) RunTraced(t *obs.Trace, params ...Value) (*Result, *Stats, er
 	}
 	view, release := in.pinView(p.info.Relations, t)
 	defer release()
-	res, m, err := parallel.RunKBATraced(info, view, in.opts.Workers, t)
+	res, m, err := parallel.RunKBA(info, view, in.opts.Workers, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -514,7 +514,7 @@ func (in *Instance) analyzeInfo(t *obs.Trace, info *core.PlanInfo, params []Valu
 	}
 	view, release := in.pinView(info.Relations, t)
 	defer release()
-	ans, m, err := parallel.RunKBATraced(bound, view, in.opts.Workers, t)
+	ans, m, err := parallel.RunKBA(bound, view, in.opts.Workers, t)
 	if err != nil {
 		return nil, nil, nil, err
 	}
